@@ -83,7 +83,7 @@ RunResult DpuCoreSim::run(const TensorI8& input, int bw_sharers,
     switch (layer.kind) {
       case XLayer::Kind::kConv:
         quant::kernels::conv2d(input_of(layer.inputs[0]), op, out,
-                               fp_of(layer.inputs[0]));
+                               fp_of(layer.inputs[0]), arena);
         break;
       case XLayer::Kind::kTConv:
         quant::kernels::tconv2d(input_of(layer.inputs[0]), op, out,
@@ -103,14 +103,10 @@ RunResult DpuCoreSim::run(const TensorI8& input, int bw_sharers,
           for (int src : layer.inputs) {
             const TensorI8& in = input_of(src);
             const std::int64_t ci = in.shape()[2];
-            const int shift = fp_of(src) - layer.fix_pos_out;
             const std::int64_t co = layer.out_shape[2];
-            const std::int64_t pixels = in.numel() / ci;
-            for (std::int64_t p = 0; p < pixels; ++p) {
-              quant::kernels::requant_row(in.data() + p * ci,
-                                          out.data() + p * co + chan_off, ci,
-                                          shift);
-            }
+            quant::kernels::requant_rows(in.data(), ci, out.data() + chan_off,
+                                         co, ci, in.numel() / ci,
+                                         fp_of(src) - layer.fix_pos_out);
             chan_off += ci;
           }
         } else {

@@ -173,20 +173,26 @@ void maxpool2d_generic(const TensorI8& x, TensorI8& out) {
   qmaxpool2d_forward(x, out);
 }
 
-void requant_row_generic(const std::int8_t* src, std::int8_t* dst,
-                         std::int64_t n, int shift) {
-  if (shift == 0) {
-    std::memcpy(dst, src, static_cast<std::size_t>(n));
-    return;
-  }
-  for (std::int64_t i = 0; i < n; ++i) {
-    dst[i] = saturate_i8(rshift_round(src[i], shift));
+void requant_rows_generic(const std::int8_t* src, std::int64_t src_stride,
+                          std::int8_t* dst, std::int64_t dst_stride,
+                          std::int64_t n, std::int64_t rows, int shift) {
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::int8_t* s = src + r * src_stride;
+    std::int8_t* d = dst + r * dst_stride;
+    if (shift == 0) {
+      std::memcpy(d, s, static_cast<std::size_t>(n));
+      continue;
+    }
+    for (std::int64_t i = 0; i < n; ++i) {
+      d[i] = saturate_i8(rshift_round(s[i], shift));
+    }
   }
 }
 
 // --------------------------------------------------------------- dispatch
 
-void conv2d(const TensorI8& x, const QOp& op, TensorI8& out, int fix_pos_in) {
+void conv2d(const TensorI8& x, const QOp& op, TensorI8& out, int fix_pos_in,
+            [[maybe_unused]] tensor::TensorArena* arena) {
   const std::int64_t ci = x.shape()[2];
   const int shift = fix_pos_in + op.fix_pos_w - op.fix_pos_out;
   // Wherever the coarse runtime predicate admits the int32 path, the
@@ -200,7 +206,7 @@ void conv2d(const TensorI8& x, const QOp& op, TensorI8& out, int fix_pos_in) {
     return;
   }
 #if defined(SENECA_KERNELS_AVX2)
-  if (b == Backend::kSimd) return conv2d_avx2(x, op, out, fix_pos_in);
+  if (b == Backend::kSimd) return conv2d_avx2(x, op, out, fix_pos_in, arena);
 #elif defined(SENECA_KERNELS_NEON)
   if (b == Backend::kSimd) return conv2d_neon(x, op, out, fix_pos_in);
 #endif
@@ -237,21 +243,16 @@ void maxpool2d(const TensorI8& x, TensorI8& out) {
   maxpool2d_generic(x, out);
 }
 
-void requant_row(const std::int8_t* src, std::int8_t* dst, std::int64_t n,
-                 int shift) {
-  const Backend b = active_backend();
+void requant_rows(const std::int8_t* src, std::int64_t src_stride,
+                  std::int8_t* dst, std::int64_t dst_stride, std::int64_t n,
+                  std::int64_t rows, int shift) {
 #if defined(SENECA_KERNELS_AVX2)
-  // The AVX2 row requant covers |shift| <= 7 plus the shift-8 left edge of
-  // its int16 arithmetic; everything else is reference-scalar inside.
-  if (b == Backend::kSimd) return requant_row_avx2(src, dst, n, shift);
-#endif
-  if (b == Backend::kScalar) {
-    for (std::int64_t i = 0; i < n; ++i) {
-      dst[i] = saturate_i8(rshift_round(src[i], shift));
-    }
-    return;
+  if (active_backend() == Backend::kSimd) {
+    return requant_rows_avx2(src, src_stride, dst, dst_stride, n, rows, shift);
   }
-  requant_row_generic(src, dst, n, shift);
+#endif
+  // The generic rows are the reference arithmetic, so kScalar runs them too.
+  requant_rows_generic(src, src_stride, dst, dst_stride, n, rows, shift);
 }
 
 void concat(const TensorI8& a, int fp_a, const TensorI8& b, int fp_b,
@@ -262,13 +263,9 @@ void concat(const TensorI8& a, int fp_a, const TensorI8& b, int fp_b,
   const std::int64_t ca = a.shape()[2];
   const std::int64_t cb = b.shape()[2];
   const std::int64_t rows = a.numel() / ca;
-  const int sa = fp_a - fp_out;
-  const int sb = fp_b - fp_out;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    std::int8_t* po = out.data() + r * (ca + cb);
-    requant_row(a.data() + r * ca, po, ca, sa);
-    requant_row(b.data() + r * cb, po + ca, cb, sb);
-  }
+  requant_rows(a.data(), ca, out.data(), ca + cb, ca, rows, fp_a - fp_out);
+  requant_rows(b.data(), cb, out.data() + ca, ca + cb, cb, rows,
+               fp_b - fp_out);
 }
 
 }  // namespace seneca::quant::kernels

@@ -13,7 +13,8 @@
 //  - kSimd:    AVX2 (x86-64, -mavx2, cpuid-checked at runtime) or NEON
 //              (aarch64) intrinsics. The innermost loop is a widening
 //              int8 x int8 -> int32 multiply-accumulate over contiguous
-//              output channels ([K][K][Cin][Cout] weight layout).
+//              output channels ([K][K][Cin][Cout] weight layout); AVX2
+//              also blocks four output pixels per weight load.
 //
 // int32 accumulation is only used when it provably cannot overflow
 // (|bias| + k*k*ci*128*128 within int32, scaled through a negative requant
@@ -49,19 +50,24 @@ const char* backend_name(Backend b);
 
 // --- Dispatch entry points (signatures mirror the scalar reference). -----
 
-void conv2d(const TensorI8& x, const QOp& op, TensorI8& out, int fix_pos_in);
-/// `arena` (optional) provides the oh*ow*co int32 accumulator plane.
+/// `arena` (optional) provides the kernels' scratch (input pair plane,
+/// packed weight operands, tconv accumulators), so a warmed arena makes the
+/// call allocation-free on the SIMD path.
+void conv2d(const TensorI8& x, const QOp& op, TensorI8& out, int fix_pos_in,
+            tensor::TensorArena* arena = nullptr);
 void tconv2d(const TensorI8& x, const QOp& op, TensorI8& out, int fix_pos_in,
              tensor::TensorArena* arena = nullptr);
 void maxpool2d(const TensorI8& x, TensorI8& out);
 void concat(const TensorI8& a, int fp_a, const TensorI8& b, int fp_b,
             TensorI8& out, int fp_out);
 
-/// Requantizing row copy: dst[i] = sat8(rshift_round(src[i], shift)).
-/// shift == 0 degenerates to memcpy; also used by the DPU simulator's
-/// materialized-concat assembly.
-void requant_row(const std::int8_t* src, std::int8_t* dst, std::int64_t n,
-                 int shift);
+/// Requantizing strided copy of `rows` rows of `n` bytes:
+/// dst[r*dst_stride + i] = sat8(rshift_round(src[r*src_stride + i], shift)).
+/// shift == 0 degenerates to row memcpys. Concat and the DPU simulator's
+/// materialized-concat assembly make one call per input region.
+void requant_rows(const std::int8_t* src, std::int64_t src_stride,
+                  std::int8_t* dst, std::int64_t dst_stride, std::int64_t n,
+                  std::int64_t rows, int shift);
 
 // --- Backend internals (exposed for the per-kernel micro-bench). ---------
 
@@ -74,17 +80,19 @@ void conv2d_generic(const TensorI8& x, const QOp& op, TensorI8& out,
 void tconv2d_generic(const TensorI8& x, const QOp& op, TensorI8& out,
                      int fix_pos_in, tensor::TensorArena* arena);
 void maxpool2d_generic(const TensorI8& x, TensorI8& out);
-void requant_row_generic(const std::int8_t* src, std::int8_t* dst,
-                         std::int64_t n, int shift);
+void requant_rows_generic(const std::int8_t* src, std::int64_t src_stride,
+                          std::int8_t* dst, std::int64_t dst_stride,
+                          std::int64_t n, std::int64_t rows, int shift);
 
 #if defined(SENECA_KERNELS_AVX2)
 void conv2d_avx2(const TensorI8& x, const QOp& op, TensorI8& out,
-                 int fix_pos_in);
+                 int fix_pos_in, tensor::TensorArena* arena);
 void tconv2d_avx2(const TensorI8& x, const QOp& op, TensorI8& out,
                   int fix_pos_in, tensor::TensorArena* arena);
 void maxpool2d_avx2(const TensorI8& x, TensorI8& out);
-void requant_row_avx2(const std::int8_t* src, std::int8_t* dst,
-                      std::int64_t n, int shift);
+void requant_rows_avx2(const std::int8_t* src, std::int64_t src_stride,
+                       std::int8_t* dst, std::int64_t dst_stride,
+                       std::int64_t n, std::int64_t rows, int shift);
 #endif
 #if defined(SENECA_KERNELS_NEON)
 void conv2d_neon(const TensorI8& x, const QOp& op, TensorI8& out,

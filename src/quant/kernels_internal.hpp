@@ -1,5 +1,5 @@
 #pragma once
-// Shared pieces of the INT8 kernel backends (generic / AVX2 / NEON).
+// Shared pieces of the INT8 kernel backends (generic / NEON).
 // Everything here assumes the dispatcher already proved int32 accumulation
 // safe (kernels::acc32_safe + the shift headroom check in kernels.cpp).
 
@@ -64,13 +64,11 @@ inline void tconv_acc_init(const QOp& op, std::int32_t* acc) {
   }
 }
 
-/// Accumulator plane from the arena when present, else call-local. Eight
-/// int32 of slack past the end keep full-width vector loads at the plane
-/// tail in bounds (the AVX2 small-co path reads 8 lanes and mask-stores the
-/// valid ones).
+/// Accumulator plane of the scatter-form tconv (generic and NEON
+/// backends) from the arena when present, else call-local.
 inline std::int32_t* tconv_scratch(const QOp& op, tensor::TensorArena* arena,
                                    std::vector<std::int32_t>& local) {
-  const std::int64_t n = op.out_shape.numel() + 8;
+  const std::int64_t n = op.out_shape.numel();
   if (arena) return arena->acc32(n);
   local.resize(static_cast<std::size_t>(n));
   return local.data();

@@ -204,7 +204,7 @@ TensorI8 QGraph::forward(const TensorI8& input,
                          : TensorI8(op.out_shape);
     switch (op.kind) {
       case QOpKind::kConv2D:
-        kernels::conv2d(in_of(in0), op, out, fp0);
+        kernels::conv2d(in_of(in0), op, out, fp0, arena);
         break;
       case QOpKind::kTConv2D:
         kernels::tconv2d(in_of(in0), op, out, fp0, arena);

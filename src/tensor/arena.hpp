@@ -16,8 +16,10 @@
 //    escape to the caller (the returned inference output, captured
 //    activation sets) simply never come back — the arena replaces them
 //    with one fresh slab on a later acquire.
-//  - acc32() is a single reusable int32 scratch plane (transposed-conv
-//    accumulators); contents are unspecified, the caller initializes it.
+//  - acc32() and scratch16() are single reusable int32 / int16 scratch
+//    buffers for the kernels (generic transposed-conv accumulators; the
+//    AVX2 input pair plane and packed weight operands); contents are
+//    unspecified, the caller initializes them.
 
 #include <algorithm>
 #include <cstdint>
@@ -68,6 +70,16 @@ class TensorArena {
     return acc_.data();
   }
 
+  /// Reusable int16 scratch of at least `n` elements; contents
+  /// unspecified. Invalidated by the next scratch16() call.
+  std::int16_t* scratch16(std::int64_t n) {
+    if (scratch16_.size() < static_cast<std::size_t>(n)) {
+      ++mallocs_;
+      scratch16_.resize(static_cast<std::size_t>(n));
+    }
+    return scratch16_.data();
+  }
+
   /// Fresh slab allocations (and scratch growths) performed so far. A
   /// steady-state executor stops increasing this after its first frame.
   std::size_t mallocs() const { return mallocs_; }
@@ -79,11 +91,14 @@ class TensorArena {
     free_.clear();
     acc_.clear();
     acc_.shrink_to_fit();
+    scratch16_.clear();
+    scratch16_.shrink_to_fit();
   }
 
  private:
   std::vector<TensorI8> free_;
   std::vector<std::int32_t> acc_;
+  std::vector<std::int16_t> scratch16_;
   std::size_t mallocs_ = 0;
 };
 

@@ -96,6 +96,45 @@ class KernelsTest : public ::testing::Test {
 
 // ------------------------------------------------ conv bit-exactness -----
 
+// One conv or tconv case against the scalar reference on every backend,
+// with and without an arena (`arena` is shared across cases, so its scratch
+// is reused at changing sizes).
+void expect_bit_exact(QOpKind kind, std::int64_t h, std::int64_t w,
+                      std::int64_t ci, std::int64_t co, std::int64_t k,
+                      int shift, bool relu, std::uint64_t seed,
+                      TensorArena& arena) {
+  const bool tconv = kind == QOpKind::kTConv2D;
+  const int fp_in = 4, fp_w = 3;
+  const Shape out_shape =
+      tconv ? Shape{2 * h, 2 * w, co} : Shape{h, w, co};
+  const QOp op = make_op(kind, k, ci, co, out_shape, fp_w,
+                         fp_in + fp_w - shift, relu, seed);
+  const TensorI8 x = random_i8(Shape{h, w, ci}, seed);
+  TensorI8 ref(out_shape);
+  if (tconv) {
+    qtconv2d_forward(x, op, ref, fp_in);
+  } else {
+    qconv2d_forward(x, op, ref, fp_in);
+  }
+  for (kernels::Backend b : backends_under_test()) {
+    kernels::set_backend(b);
+    for (TensorArena* ap : {static_cast<TensorArena*>(nullptr), &arena}) {
+      TensorI8 got(out_shape);
+      if (tconv) {
+        kernels::tconv2d(x, op, got, fp_in, ap);
+      } else {
+        kernels::conv2d(x, op, got, fp_in, ap);
+      }
+      EXPECT_TRUE(same_tensor(got, ref))
+          << (tconv ? "tconv" : "conv")
+          << " backend=" << kernels::backend_name(b) << " h=" << h
+          << " w=" << w << " ci=" << ci << " co=" << co << " k=" << k
+          << " shift=" << shift << " relu=" << relu
+          << (ap ? " (arena)" : " (no arena)");
+    }
+  }
+}
+
 TEST_F(KernelsTest, Conv2DBitExactAcrossBackends) {
   // Channel counts straddle the AVX2 (16-wide, 2-channel-paired) and NEON
   // (8-wide) vector widths: odd, prime, exact multiples, and multiples+1.
@@ -104,29 +143,15 @@ TEST_F(KernelsTest, Conv2DBitExactAcrossBackends) {
   // fp_in + fp_w - fp_out: positive (right shift), zero, and negative (the
   // left-shift requant path).
   const int shifts[] = {4, 2, 0, -2};
+  TensorArena arena;
   std::uint64_t seed = 1;
   for (std::int64_t ci : cis) {
     for (std::int64_t co : cos) {
       for (int shift : shifts) {
         for (int relu = 0; relu < 2; ++relu) {
           ++seed;
-          const std::int64_t k = (seed % 2) ? 3 : 1;
-          const std::int64_t h = 5, w = 4;
-          const int fp_in = 4, fp_w = 3;
-          QOp op = make_op(QOpKind::kConv2D, k, ci, co, Shape{h, w, co}, fp_w,
-                           fp_in + fp_w - shift, relu != 0, seed);
-          const TensorI8 x = random_i8(Shape{h, w, ci}, seed);
-          TensorI8 ref(op.out_shape);
-          qconv2d_forward(x, op, ref, fp_in);
-          for (kernels::Backend b : backends_under_test()) {
-            kernels::set_backend(b);
-            TensorI8 got(op.out_shape);
-            kernels::conv2d(x, op, got, fp_in);
-            EXPECT_TRUE(same_tensor(got, ref))
-                << "backend=" << kernels::backend_name(b) << " ci=" << ci
-                << " co=" << co << " k=" << k << " shift=" << shift
-                << " relu=" << relu;
-          }
+          expect_bit_exact(QOpKind::kConv2D, 5, 4, ci, co, (seed % 2) ? 3 : 1,
+                           shift, relu != 0, seed, arena);
         }
       }
     }
@@ -137,33 +162,62 @@ TEST_F(KernelsTest, TConv2DBitExactAcrossBackends) {
   const std::int64_t cis[] = {1, 3, 8, 17};
   const std::int64_t cos[] = {1, 5, 16, 33};
   const int shifts[] = {4, 0, -2};
+  TensorArena arena;
   std::uint64_t seed = 1000;
   for (std::int64_t ci : cis) {
     for (std::int64_t co : cos) {
       for (int shift : shifts) {
         ++seed;
-        const std::int64_t h = 3, w = 4, k = 3;
-        const int fp_in = 4, fp_w = 3;
-        QOp op = make_op(QOpKind::kTConv2D, k, ci, co, Shape{2 * h, 2 * w, co},
-                         fp_w, fp_in + fp_w - shift, (seed % 2) != 0, seed);
-        const TensorI8 x = random_i8(Shape{h, w, ci}, seed);
-        TensorI8 ref(op.out_shape);
-        qtconv2d_forward(x, op, ref, fp_in);
-        for (kernels::Backend b : backends_under_test()) {
-          kernels::set_backend(b);
-          // Both with and without an arena-provided accumulator plane.
-          TensorI8 got(op.out_shape);
-          kernels::tconv2d(x, op, got, fp_in, nullptr);
-          EXPECT_TRUE(same_tensor(got, ref))
-              << "backend=" << kernels::backend_name(b) << " ci=" << ci
-              << " co=" << co << " shift=" << shift << " (no arena)";
-          TensorArena arena;
-          TensorI8 got2(op.out_shape);
-          kernels::tconv2d(x, op, got2, fp_in, &arena);
-          EXPECT_TRUE(same_tensor(got2, ref))
-              << "backend=" << kernels::backend_name(b) << " ci=" << ci
-              << " co=" << co << " shift=" << shift << " (arena)";
+        expect_bit_exact(QOpKind::kTConv2D, 3, 4, ci, co, 3, shift,
+                         (seed % 2) != 0, seed, arena);
+      }
+    }
+  }
+}
+
+TEST_F(KernelsTest, ConvAndTConvBitExactAcrossShapes) {
+  // Widths 1..9 over one and three rows put every pixel count from 1 to 27
+  // through the blocked body: full 4-pixel blocks running across row ends,
+  // the single-pixel remainder, and both sides of the AVX2 pixel-count
+  // packing cut-over (16 input pixels). co covers the ladder's real
+  // co % 16 tails (6, 11, 22, 44), ci odd and even, k odd and even.
+  const std::int64_t ws[] = {1, 2, 3, 4, 5, 7, 8, 9};
+  const std::int64_t hs[] = {1, 3};
+  const std::int64_t cis[] = {1, 3, 8, 17};
+  const std::int64_t cos[] = {1, 6, 11, 16, 22, 44};
+  const std::int64_t ks[] = {3, 1, 2, 5};
+  const int shifts[] = {4, 0, -2, 7};
+  TensorArena arena;
+  std::uint64_t seed = 5000;
+  for (QOpKind kind : {QOpKind::kConv2D, QOpKind::kTConv2D}) {
+    for (std::int64_t h : hs) {
+      for (std::int64_t w : ws) {
+        for (std::int64_t ci : cis) {
+          for (std::int64_t co : cos) {
+            ++seed;
+            expect_bit_exact(kind, h, w, ci, co, ks[seed % 4],
+                             shifts[(seed / 4) % 4], (seed % 3) != 0, seed,
+                             arena);
+          }
         }
+      }
+    }
+  }
+}
+
+TEST_F(KernelsTest, ConvAndTConvBitExactAcrossPackingByteLimit) {
+  // The AVX2 block operands stay unpacked past 1.5 MiB of packed int16
+  // (k*k * co/16 * ceil(ci/2) * 64 bytes): with k = 3 and co = 32 (+ a
+  // 6-channel tail) ci = 2729 packs and ci = 2731 does not. Pixel counts
+  // sit on both sides of the pixel cut-over too.
+  TensorArena arena;
+  std::uint64_t seed = 6000;
+  for (QOpKind kind : {QOpKind::kConv2D, QOpKind::kTConv2D}) {
+    for (std::int64_t ci : {2729, 2731}) {
+      for (std::int64_t w : {3, 6}) {
+        ++seed;
+        expect_bit_exact(kind, 3, w, ci, 38, 3, 6, (seed % 2) != 0, seed,
+                         arena);
       }
     }
   }
@@ -215,21 +269,29 @@ TEST_F(KernelsTest, ConcatBitExactAcrossBackends) {
   }
 }
 
-TEST_F(KernelsTest, RequantRowMatchesReferenceForAllShifts) {
-  const std::int64_t n = 129;  // odd: exercises every vector tail
-  const TensorI8 src = random_i8(Shape{n}, 99);
-  for (int shift = -12; shift <= 12; ++shift) {
-    std::vector<std::int8_t> ref(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) {
-      ref[static_cast<std::size_t>(i)] =
-          saturate_i8(rshift_round(src[i], shift));
-    }
-    for (kernels::Backend b : backends_under_test()) {
-      kernels::set_backend(b);
-      std::vector<std::int8_t> got(static_cast<std::size_t>(n));
-      kernels::requant_row(src.data(), got.data(), n, shift);
-      EXPECT_EQ(got, ref) << "backend=" << kernels::backend_name(b)
-                          << " shift=" << shift;
+TEST_F(KernelsTest, RequantRowsMatchReferenceForAllShifts) {
+  // Strided regions as concat assembly uses them: odd row lengths exercise
+  // every vector tail, gaps between rows must stay untouched.
+  const std::int64_t src_stride = 131, dst_stride = 140, rows = 3;
+  const TensorI8 src = random_i8(Shape{rows * src_stride}, 99);
+  for (const std::int64_t n : {1, 7, 16, 17, 129}) {
+    for (int shift = -12; shift <= 12; ++shift) {
+      std::vector<std::int8_t> ref(static_cast<std::size_t>(rows * dst_stride),
+                                   42);
+      for (std::int64_t r = 0; r < rows; ++r) {
+        for (std::int64_t i = 0; i < n; ++i) {
+          ref[static_cast<std::size_t>(r * dst_stride + i)] =
+              saturate_i8(rshift_round(src[r * src_stride + i], shift));
+        }
+      }
+      for (kernels::Backend b : backends_under_test()) {
+        kernels::set_backend(b);
+        std::vector<std::int8_t> got(ref.size(), 42);
+        kernels::requant_rows(src.data(), src_stride, got.data(), dst_stride,
+                              n, rows, shift);
+        EXPECT_EQ(got, ref) << "backend=" << kernels::backend_name(b)
+                            << " n=" << n << " shift=" << shift;
+      }
     }
   }
 }
