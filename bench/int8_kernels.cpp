@@ -2,10 +2,12 @@
 //
 // Two sections. The micro section times each kernel (conv / tconv / pool /
 // concat) on a representative mid-network shape per backend and reports the
-// per-kernel speedup. The end-to-end section runs the functional DPU core
-// simulator over every model-zoo ladder rung and reports frames/second per
-// backend — scalar (the int64 reference, no arena: the pre-kernel-layer
-// executor), generic (portable int32), and SIMD (AVX2/NEON) with a
+// per-kernel speedup; on x86 it has one column per conv body the build and
+// CPU support (avx2, avx-vnni), each called directly. The end-to-end
+// section runs the functional DPU core simulator over every model-zoo
+// ladder rung and reports frames/second per backend — scalar (the int64
+// reference, no arena: the pre-kernel-layer executor), generic (portable
+// int32), and SIMD (AVX-VNNI, AVX2 or NEON, whichever kSimd runs) with a
 // TensorArena, which is what VartRunner workers run in production. Every
 // backend's output is compared bit-for-bit against the scalar
 // quant::QGraph reference on a deterministic pseudo-random input.
@@ -17,6 +19,7 @@
 // --min-speedup x scalar FPS on the 16M and 2M rungs AND every backend is
 // bit-exact on every rung.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -75,9 +78,39 @@ Timing time_loop(Fn&& fn, double min_seconds, int max_frames) {
 
 // ------------------------------------------------------- micro section --
 
+using ConvBody = void (*)(const quant::TensorI8&, const quant::QOp&,
+                         quant::TensorI8&, int, tensor::TensorArena*);
+
+/// One micro-section column: a backend and, for the x86 columns, the conv
+/// and tconv body it calls directly (pool and concat dispatch as usual).
+struct MicroColumn {
+  std::string name;
+  Backend backend;
+  ConvBody conv = nullptr, tconv = nullptr;
+};
+
+std::vector<MicroColumn> micro_columns() {
+  std::vector<MicroColumn> v{{"scalar", Backend::kScalar},
+                             {"generic", Backend::kGeneric}};
+  if (!quant::kernels::simd_available()) return v;
+#if defined(SENECA_KERNELS_AVX2)
+  v.push_back({"avx2", Backend::kSimd, quant::kernels::conv2d_avx2,
+               quant::kernels::tconv2d_avx2});
+#if defined(SENECA_KERNELS_AVXVNNI)
+  if (quant::kernels::avxvnni_available()) {
+    v.push_back({"avx-vnni", Backend::kSimd, quant::kernels::conv2d_avxvnni,
+                 quant::kernels::tconv2d_avxvnni});
+  }
+#endif
+#else
+  v.push_back({quant::kernels::backend_name(Backend::kSimd), Backend::kSimd});
+#endif
+  return v;
+}
+
 struct MicroResult {
   std::string kernel;
-  std::vector<double> us;  // microseconds/call, indexed like bench_backends()
+  std::vector<double> us;  // microseconds/call, indexed like micro_columns()
 };
 
 std::vector<MicroResult> run_micro(double min_seconds) {
@@ -119,13 +152,25 @@ std::vector<MicroResult> run_micro(double min_seconds) {
   results[1].kernel = "tconv2d 28x28x64->56x56x32";
   results[2].kernel = "maxpool 56x56x32";
   results[3].kernel = "concat 2x 56x56x32";
-  for (Backend b : bench_backends()) {
-    quant::kernels::set_backend(b);
+  for (const MicroColumn& col : micro_columns()) {
+    quant::kernels::set_backend(col.backend);
     const Timing tc = time_loop(
-        [&] { quant::kernels::conv2d(x, conv, out_conv, fp_in); },
+        [&] {
+          if (col.conv) {
+            col.conv(x, conv, out_conv, fp_in, nullptr);
+          } else {
+            quant::kernels::conv2d(x, conv, out_conv, fp_in);
+          }
+        },
         min_seconds, 1 << 20);
     const Timing tt = time_loop(
-        [&] { quant::kernels::tconv2d(xt, tconv, out_tconv, fp_in, &arena); },
+        [&] {
+          if (col.tconv) {
+            col.tconv(xt, tconv, out_tconv, fp_in, &arena);
+          } else {
+            quant::kernels::tconv2d(xt, tconv, out_tconv, fp_in, &arena);
+          }
+        },
         min_seconds, 1 << 20);
     const Timing tp = time_loop(
         [&] { quant::kernels::maxpool2d(x, out_pool); }, min_seconds, 1 << 20);
@@ -172,13 +217,14 @@ int main(int argc, char** argv) try {
   const auto micro = run_micro(min_time * 0.25);
   {
     std::vector<std::string> header{"Kernel"};
-    for (const auto& n : backend_names) header.push_back("us/" + n);
+    for (const auto& c : micro_columns()) header.push_back("us/" + c.name);
     header.push_back("best speedup");
     eval::Table table(header);
     for (const auto& m : micro) {
       std::vector<std::string> row{m.kernel};
       for (double us : m.us) row.push_back(eval::Table::num(us, 1));
-      row.push_back(eval::Table::num(m.us.front() / m.us.back(), 2));
+      row.push_back(eval::Table::num(
+          m.us.front() / *std::min_element(m.us.begin(), m.us.end()), 2));
       table.add_row(row);
     }
     std::printf("%s\n", table.render().c_str());

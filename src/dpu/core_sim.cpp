@@ -54,8 +54,13 @@ RunResult DpuCoreSim::run(const TensorI8& input, int bw_sharers,
   if (input.shape() != model_->input_shape) {
     throw std::invalid_argument("DpuCoreSim::run: input shape mismatch");
   }
-  std::vector<TensorI8> acts(model_->layers.size());
-  std::vector<int> fps(model_->layers.size(), 0);
+  // Per-frame bookkeeping lives in the arena, so a warmed frame allocates
+  // nothing; without one it is call-local.
+  const std::size_t n = model_->layers.size();
+  tensor::TensorArena::Frame local;
+  tensor::TensorArena::Frame& frame = arena ? arena->frame(n) : local.reset(n);
+  std::vector<TensorI8>& acts = frame.acts;
+  std::vector<int>& fps = frame.fix_pos;
 
   auto input_of = [&](int id) -> const TensorI8& {
     if (id < 0) return input;

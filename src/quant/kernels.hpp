@@ -10,11 +10,15 @@
 //  - kScalar:  the int64-accumulator reference in qgraph.cpp.
 //  - kGeneric: portable int32-accumulator restructuring of the same loops
 //              (always compiled; the SENECA_SIMD=OFF build runs on it).
-//  - kSimd:    AVX2 (x86-64, -mavx2, cpuid-checked at runtime) or NEON
-//              (aarch64) intrinsics. The innermost loop is a widening
-//              int8 x int8 -> int32 multiply-accumulate over contiguous
-//              output channels ([K][K][Cin][Cout] weight layout); AVX2
-//              also blocks four output pixels per weight load.
+//  - kSimd:    x86-64 or aarch64 intrinsics, cpuid-checked at runtime on
+//              x86. The innermost loop multiply-accumulates int8 weights
+//              over contiguous output channels ([K][K][Cin][Cout] weight
+//              layout) into int32. On x86, conv and tconv run one
+//              register-blocked body (four output pixels per weight load)
+//              in the best of two forms: AVX-VNNI (-mavxvnni, u8 x s8 dot
+//              products of four input channels) when the CPU has it, else
+//              AVX2 (-mavx2, int16 pair madd); pool and requant are AVX2.
+//              aarch64 runs NEON (widening int8 multiply-accumulate).
 //
 // int32 accumulation is only used when it provably cannot overflow
 // (|bias| + k*k*ci*128*128 within int32, scaled through a negative requant
@@ -50,8 +54,8 @@ const char* backend_name(Backend b);
 
 // --- Dispatch entry points (signatures mirror the scalar reference). -----
 
-/// `arena` (optional) provides the kernels' scratch (input pair plane,
-/// packed weight operands, tconv accumulators), so a warmed arena makes the
+/// `arena` (optional) provides the kernels' scratch (input plane, packed
+/// weight operands, initial or tconv accumulators), so a warmed arena makes the
 /// call allocation-free on the SIMD path.
 void conv2d(const TensorI8& x, const QOp& op, TensorI8& out, int fix_pos_in,
             tensor::TensorArena* arena = nullptr);
@@ -93,6 +97,14 @@ void maxpool2d_avx2(const TensorI8& x, TensorI8& out);
 void requant_rows_avx2(const std::int8_t* src, std::int64_t src_stride,
                        std::int8_t* dst, std::int64_t dst_stride,
                        std::int64_t n, std::int64_t rows, int shift);
+#endif
+#if defined(SENECA_KERNELS_AVXVNNI)
+/// CPU has AVX-VNNI: kSimd then runs these conv bodies instead of AVX2's.
+bool avxvnni_available();
+void conv2d_avxvnni(const TensorI8& x, const QOp& op, TensorI8& out,
+                    int fix_pos_in, tensor::TensorArena* arena);
+void tconv2d_avxvnni(const TensorI8& x, const QOp& op, TensorI8& out,
+                     int fix_pos_in, tensor::TensorArena* arena);
 #endif
 #if defined(SENECA_KERNELS_NEON)
 void conv2d_neon(const TensorI8& x, const QOp& op, TensorI8& out,

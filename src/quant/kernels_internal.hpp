@@ -1,5 +1,6 @@
 #pragma once
-// Shared pieces of the INT8 kernel backends (generic / NEON).
+// Shared pieces of the INT8 kernel backends (generic / NEON; the strided
+// requant walk also AVX2).
 // Everything here assumes the dispatcher already proved int32 accumulation
 // safe (kernels::acc32_safe + the shift headroom check in kernels.cpp).
 
@@ -21,6 +22,41 @@ inline std::int32_t rshift_round32(std::int32_t v, int shift) {
   const std::int32_t bias = std::int32_t{1} << (shift - 1);
   if (v >= 0) return (v + bias) >> shift;
   return -((-v + bias) >> shift);
+}
+
+/// Requantizing strided copy in 16-byte chunks: `rq16(s, d)` writes the 16
+/// requantized bytes of s[0..15] to d[0..15]. A row of n >= 16 bytes ends
+/// in one overlapping chunk. A shorter row runs one chunk into a buffer and
+/// blends its first n bytes into the 16 destination bytes: the bytes past
+/// the row are written back unchanged, and rows run in ascending order, so
+/// a later row or another region's bytes keep their value. Rows too close
+/// to a buffer's end for a 16-byte access take the scalar reference.
+template <typename Rq16>
+void requant_rows_chunked(const std::int8_t* src, std::int64_t src_stride,
+                          std::int8_t* dst, std::int64_t dst_stride,
+                          std::int64_t n, std::int64_t rows, int shift,
+                          const Rq16& rq16) {
+  const std::int64_t src_len = (rows - 1) * src_stride + n;
+  const std::int64_t dst_len = (rows - 1) * dst_stride + n;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::int8_t* s = src + r * src_stride;
+    std::int8_t* d = dst + r * dst_stride;
+    if (n >= 16) {
+      std::int64_t i = 0;
+      for (; i + 16 <= n; i += 16) rq16(s + i, d + i);
+      if (i < n) rq16(s + n - 16, d + n - 16);
+    } else if (r * src_stride + 16 <= src_len &&
+               r * dst_stride + 16 <= dst_len) {
+      std::int8_t t[16];
+      rq16(s, t);
+      for (std::int64_t i = n; i < 16; ++i) t[i] = d[i];
+      std::memcpy(d, t, sizeof t);
+    } else {
+      for (std::int64_t i = 0; i < n; ++i) {
+        d[i] = saturate_i8(rshift_round(s[i], shift));
+      }
+    }
+  }
 }
 
 /// Walks the transposed conv as the reference does — scatter from each

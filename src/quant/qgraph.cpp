@@ -185,8 +185,13 @@ void qconcat_forward(const TensorI8& a, int fp_a, const TensorI8& b, int fp_b,
 TensorI8 QGraph::forward(const TensorI8& input,
                          std::vector<TensorI8>* activations,
                          tensor::TensorArena* arena) const {
-  std::vector<TensorI8> acts(ops.size());
-  std::vector<int> fps(ops.size(), 0);
+  // Per-frame bookkeeping lives in the arena, so a warmed frame allocates
+  // nothing; without one it is call-local.
+  tensor::TensorArena::Frame local;
+  tensor::TensorArena::Frame& frame =
+      arena ? arena->frame(ops.size()) : local.reset(ops.size());
+  std::vector<TensorI8>& acts = frame.acts;
+  std::vector<int>& fps = frame.fix_pos;
   fps[static_cast<std::size_t>(input_op)] = input_fix_pos;
 
   // The input is only materialized into the activation set when the caller

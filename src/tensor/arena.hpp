@@ -16,10 +16,14 @@
 //    escape to the caller (the returned inference output, captured
 //    activation sets) simply never come back — the arena replaces them
 //    with one fresh slab on a later acquire.
-//  - acc32() and scratch16() are single reusable int32 / int16 scratch
-//    buffers for the kernels (generic transposed-conv accumulators; the
-//    AVX2 input pair plane and packed weight operands); contents are
-//    unspecified, the caller initializes them.
+//  - acc32() and scratch() are single reusable int32 / byte scratch
+//    buffers for the kernels (generic transposed-conv accumulators and the
+//    x86 bodies' initial accumulators; the x86 input plane and packed
+//    weight operands); contents are unspecified, the caller initializes
+//    them.
+//  - frame() is the executor's per-frame bookkeeping (one activation slot
+//    and one fix position per layer), so a warmed frame allocates nothing.
+//    One executor call uses it at a time.
 
 #include <algorithm>
 #include <cstdint>
@@ -70,14 +74,35 @@ class TensorArena {
     return acc_.data();
   }
 
-  /// Reusable int16 scratch of at least `n` elements; contents
-  /// unspecified. Invalidated by the next scratch16() call.
-  std::int16_t* scratch16(std::int64_t n) {
-    if (scratch16_.size() < static_cast<std::size_t>(n)) {
+  /// Reusable byte scratch of at least `n` bytes; contents unspecified.
+  /// Invalidated by the next scratch() call.
+  std::uint8_t* scratch(std::int64_t n) {
+    if (scratch_.size() < static_cast<std::size_t>(n)) {
       ++mallocs_;
-      scratch16_.resize(static_cast<std::size_t>(n));
+      scratch_.resize(static_cast<std::size_t>(n));
     }
-    return scratch16_.data();
+    return scratch_.data();
+  }
+
+  /// An executor's per-frame bookkeeping for `n` layers.
+  struct Frame {
+    std::vector<TensorI8> acts;  // activation slots, all empty on reset
+    std::vector<int> fix_pos;    // all 0 on reset
+
+    Frame& reset(std::size_t n) {
+      acts.assign(n, TensorI8{});
+      fix_pos.assign(n, 0);
+      return *this;
+    }
+  };
+
+  /// The arena's Frame, reset for `n` layers; it keeps its capacity across
+  /// frames. Invalidated by the next frame() call.
+  Frame& frame(std::size_t n) {
+    if (frame_.acts.capacity() < n || frame_.fix_pos.capacity() < n) {
+      ++mallocs_;
+    }
+    return frame_.reset(n);
   }
 
   /// Fresh slab allocations (and scratch growths) performed so far. A
@@ -91,14 +116,16 @@ class TensorArena {
     free_.clear();
     acc_.clear();
     acc_.shrink_to_fit();
-    scratch16_.clear();
-    scratch16_.shrink_to_fit();
+    scratch_.clear();
+    scratch_.shrink_to_fit();
+    frame_ = Frame{};
   }
 
  private:
   std::vector<TensorI8> free_;
   std::vector<std::int32_t> acc_;
-  std::vector<std::int16_t> scratch16_;
+  std::vector<std::uint8_t> scratch_;
+  Frame frame_;
   std::size_t mallocs_ = 0;
 };
 

@@ -1,8 +1,9 @@
-// Allocation pin for the SIMD kernels: this binary replaces the global
-// operator new with a counting one, and checks that a steady-state SIMD
-// conv2d / tconv2d call with a warmed TensorArena performs no heap
-// allocation (on AVX2 the input pair plane and the packed weight operands
-// come from the arena). Its own TU, because the replacement is
+// Allocation pin for the SIMD kernels and the frame executors: this binary
+// replaces the global operator new with a counting one, and checks that a
+// steady-state SIMD conv2d / tconv2d call (each x86 body) and a whole
+// DpuCoreSim::run / QGraph::forward frame with a warmed TensorArena perform
+// no heap allocation (the input plane, packed weight operands and per-frame
+// bookkeeping come from the arena). Its own TU, because the replacement is
 // program-wide.
 #include <gtest/gtest.h>
 
@@ -10,7 +11,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <vector>
 
+#include "core/workflow.hpp"
+#include "dpu/compiler.hpp"
+#include "dpu/core_sim.hpp"
 #include "quant/kernels.hpp"
 #include "tensor/arena.hpp"
 #include "util/rng.hpp"
@@ -110,6 +115,74 @@ TEST(KernelsAlloc, WarmArenaSimdConvAndTConvAllocateNothing) {
     EXPECT_EQ(std::memcmp(c.out.data(), ref.data(),
                           static_cast<std::size_t>(ref.numel())),
               0);
+  }
+  kernels::set_backend(kernels::Backend::kAuto);
+}
+
+#if defined(SENECA_KERNELS_AVX2)
+TEST(KernelsAlloc, WarmArenaX86BodiesAllocateNothing) {
+  if (!kernels::simd_available()) GTEST_SKIP() << "CPU lacks AVX2";
+  using Body = void (*)(const TensorI8&, const QOp&, TensorI8&, int,
+                        tensor::TensorArena*);
+  struct Named {
+    const char* name;
+    Body conv, tconv;
+  };
+  std::vector<Named> bodies{
+      {"avx2", kernels::conv2d_avx2, kernels::tconv2d_avx2}};
+#if defined(SENECA_KERNELS_AVXVNNI)
+  if (kernels::avxvnni_available()) {
+    bodies.push_back(
+        {"avx-vnni", kernels::conv2d_avxvnni, kernels::tconv2d_avxvnni});
+  }
+#endif
+  // Packed and unpacked operands; the random inputs hold negative bytes,
+  // so AVX-VNNI also takes its +128 offset path.
+  Case cases[] = {make_case(QOpKind::kConv2D, 8, 32, 44, 5),
+                  make_case(QOpKind::kConv2D, 2, 64, 44, 6),
+                  make_case(QOpKind::kTConv2D, 8, 32, 44, 7),
+                  make_case(QOpKind::kTConv2D, 2, 64, 44, 8)};
+  for (const Named& b : bodies) {
+    tensor::TensorArena arena;
+    const auto run = [&](Case& c) {
+      (c.op.kind == QOpKind::kTConv2D ? b.tconv : b.conv)(c.x, c.op, c.out, 4,
+                                                           &arena);
+    };
+    for (Case& c : cases) run(c);  // warm
+    for (Case& c : cases) {
+      const long before = g_allocs.load();
+      run(c);
+      EXPECT_EQ(g_allocs.load(), before)
+          << b.name << (c.op.kind == QOpKind::kTConv2D ? " tconv " : " conv ")
+          << c.x.shape()[0] << "x" << c.x.shape()[1];
+    }
+  }
+}
+#endif
+
+TEST(KernelsAlloc, WarmArenaFramesAllocateNothing) {
+  if (!kernels::simd_available()) {
+    GTEST_SKIP() << "no SIMD backend: the generic conv allocates per call";
+  }
+  kernels::set_backend(kernels::Backend::kSimd);
+  for (const char* rung : {"4M", "2M"}) {
+    const QGraph qg = core::build_timing_qgraph(rung, 32);
+    const dpu::XModel xm = dpu::compile(qg);
+    const dpu::DpuCoreSim sim(&xm);
+    const TensorI8 x = random_i8(qg.input_shape, 11);
+    tensor::TensorArena arena;
+    // One frame of each executor; the caller hands the output back, as a
+    // serving loop recycling its arena does.
+    const auto frame = [&] {
+      dpu::RunResult r = sim.run(x, 1, &arena);
+      arena.release(std::move(r.output));
+      arena.release(qg.forward(x, nullptr, &arena));
+    };
+    frame();
+    frame();
+    const long before = g_allocs.load();
+    frame();
+    EXPECT_EQ(g_allocs.load(), before) << rung << " at 32x32";
   }
   kernels::set_backend(kernels::Backend::kAuto);
 }
