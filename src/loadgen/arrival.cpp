@@ -4,25 +4,8 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
-#include <string>
 
 namespace seneca::loadgen {
-
-const char* to_string(ArrivalKind k) {
-  switch (k) {
-    case ArrivalKind::kPoisson: return "poisson";
-    case ArrivalKind::kDiurnal: return "diurnal";
-    case ArrivalKind::kFlashCrowd: return "flash-crowd";
-  }
-  return "?";
-}
-
-ArrivalKind parse_arrival_kind(const std::string& s) {
-  if (s == "poisson") return ArrivalKind::kPoisson;
-  if (s == "diurnal") return ArrivalKind::kDiurnal;
-  if (s == "flash-crowd" || s == "flash") return ArrivalKind::kFlashCrowd;
-  throw std::invalid_argument("unknown arrival kind: " + s);
-}
 
 namespace {
 

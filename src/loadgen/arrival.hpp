@@ -1,14 +1,14 @@
 #pragma once
 // Open-loop arrival processes for the traffic harness.
 //
-// The closed-loop sweeps the repo grew up with (serve_demo, serve_scaling)
-// cannot model real arrival behaviour: a closed-loop client waits for its
-// previous response, so the offered load self-throttles exactly when the
-// system saturates — the regime where tail latency and isolation actually
-// matter. An open-loop trace fixes arrival times up front (they do not care
-// how the server is doing), which is how traffic from a large user
-// population behaves: a million independent users do not coordinate their
-// clicks with the queue depth.
+// Closed-loop clients cannot model real arrival behaviour: a closed-loop
+// client waits for its previous response, so the offered load
+// self-throttles exactly when the system saturates — the regime where
+// tail latency and isolation actually matter. An open-loop trace fixes
+// arrival times up front (they do not care how the server is doing),
+// which is how traffic from a large user population behaves: a million
+// independent users do not coordinate their clicks with the queue depth.
+// bench/serve_trace replays every serving experiment this way.
 //
 // Three generators, all seeded through util::Rng for bit-reproducible
 // traces:
@@ -22,7 +22,6 @@
 // rate, so the trace is an exact sample of the target process.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -34,9 +33,6 @@ enum class ArrivalKind : std::uint8_t {
   kDiurnal = 1,
   kFlashCrowd = 2,
 };
-
-const char* to_string(ArrivalKind k);
-ArrivalKind parse_arrival_kind(const std::string& s);
 
 struct ArrivalConfig {
   ArrivalKind kind = ArrivalKind::kPoisson;

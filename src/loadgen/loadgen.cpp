@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 #include <thread>
 
 #include "serve/metrics.hpp"  // nearest_rank_quantile
@@ -19,7 +18,7 @@ using serve::Status;
 
 struct TenantRun {
   const TenantWorkload* workload = nullptr;
-  std::vector<double> arrivals;     // seconds, already time-scaled
+  std::vector<double> arrivals;     // seconds from replay start
   std::vector<Priority> lanes;      // lane per arrival (seeded choice)
   std::vector<std::future<Response>> futures;
   double wall_s = 0.0;
@@ -47,9 +46,6 @@ std::vector<TenantReport> run_open_loop(
     run.workload = &workloads[i];
     util::Rng rng = root.split(i + 1);
     run.arrivals = generate_arrivals(workloads[i].arrivals, rng);
-    if (cfg.time_scale != 1.0) {
-      for (double& t : run.arrivals) t *= cfg.time_scale;
-    }
     run.lanes.reserve(run.arrivals.size());
     for (std::size_t a = 0; a < run.arrivals.size(); ++a) {
       run.lanes.push_back(rng.bernoulli(workloads[i].interactive_fraction)
@@ -107,8 +103,10 @@ std::vector<TenantReport> run_open_loop(
         case Status::kOk: {
           ++r.ok;
           ok_ms.push_back(resp.total_ms);
-          const bool interactive = run.lanes[a] == Priority::kInteractive;
-          if (!interactive || resp.total_ms <= w.deadline_ms) {
+          // A deadline <= 0 is no deadline, as it is for the server.
+          const bool timed = run.lanes[a] == Priority::kInteractive &&
+                             w.deadline_ms > 0.0;
+          if (!timed || resp.total_ms <= w.deadline_ms) {
             ++r.within_deadline;
           }
           break;
@@ -116,10 +114,7 @@ std::vector<TenantReport> run_open_loop(
         case Status::kRejected: ++r.rejected; break;
         case Status::kExpired: ++r.expired; break;
         case Status::kError: ++r.errors; break;
-        // kMigrated is a cluster-internal status; a router converts it
-        // before the client future resolves. Counted as rejected if one
-        // ever leaks this far.
-        case Status::kMigrated: ++r.rejected; break;
+        case Status::kMigrated: ++r.migrated; break;
       }
     }
     if (!ok_ms.empty()) {
@@ -137,29 +132,6 @@ std::vector<TenantReport> run_open_loop(
     reports.push_back(std::move(r));
   }
   return reports;
-}
-
-std::string to_json(const std::vector<TenantReport>& reports) {
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os.precision(4);
-  os << "[\n";
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const TenantReport& r = reports[i];
-    os << "  {\"tenant\": " << r.tenant << ", \"name\": \"" << r.name
-       << "\", \"offered\": " << r.offered << ", \"ok\": " << r.ok
-       << ", \"rejected\": " << r.rejected << ", \"expired\": " << r.expired
-       << ", \"errors\": " << r.errors
-       << ", \"within_deadline\": " << r.within_deadline
-       << ", \"wall_s\": " << r.wall_s << ", \"mean_ms\": " << r.mean_ms
-       << ", \"p50_ms\": " << r.p50_ms << ", \"p95_ms\": " << r.p95_ms
-       << ", \"p99_ms\": " << r.p99_ms
-       << ", \"offered_per_s\": " << r.offered_per_s
-       << ", \"goodput_per_s\": " << r.goodput_per_s << "}"
-       << (i + 1 < reports.size() ? "," : "") << "\n";
-  }
-  os << "]\n";
-  return os.str();
 }
 
 }  // namespace seneca::loadgen

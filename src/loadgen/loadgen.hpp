@@ -40,7 +40,8 @@ struct TenantWorkload {
   ArrivalConfig arrivals;
   /// Fraction of arrivals on the interactive lane (the rest ride batch).
   double interactive_fraction = 0.75;
-  /// Deadline for interactive arrivals; batch arrivals carry none.
+  /// Deadline for interactive arrivals, <= 0 for none; batch arrivals
+  /// carry none.
   double deadline_ms = 200.0;
 };
 
@@ -50,6 +51,9 @@ struct TenantReport {
   std::uint64_t offered = 0;   // trace arrivals submitted
   std::uint64_t ok = 0;        // Status::kOk
   std::uint64_t rejected = 0;  // admission/token-bucket/eviction
+  /// Status::kMigrated. A router converts it before a client future
+  /// resolves, so anything counted here is a cluster-tier leak.
+  std::uint64_t migrated = 0;
   std::uint64_t expired = 0;
   std::uint64_t errors = 0;
   std::uint64_t within_deadline = 0;  // kOk and (no deadline or met it)
@@ -63,15 +67,14 @@ struct TenantReport {
   /// the SLO currency (a late "success" is not goodput).
   double goodput_per_s = 0.0;
 
-  std::uint64_t dropped() const { return rejected + expired + errors; }
+  std::uint64_t dropped() const {
+    return rejected + migrated + expired + errors;
+  }
 };
 
 struct RunConfig {
   std::uint64_t seed = 42;
   std::int64_t input_size = 32;  // square single-channel INT8 frames
-  /// Stretch (>1) or compress (<1) every trace timestamp; lets one trace
-  /// definition sweep offered load.
-  double time_scale = 1.0;
 };
 
 /// Replays every workload against `submit` concurrently (one open-loop
@@ -81,8 +84,5 @@ struct RunConfig {
 std::vector<TenantReport> run_open_loop(
     const SubmitFn& submit, const std::vector<TenantWorkload>& workloads,
     const RunConfig& cfg);
-
-/// Renders reports as a JSON array (machine-readable bench artifact).
-std::string to_json(const std::vector<TenantReport>& reports);
 
 }  // namespace seneca::loadgen

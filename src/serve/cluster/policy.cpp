@@ -15,13 +15,6 @@ const char* to_string(PolicyKind kind) {
   return "?";
 }
 
-PolicyKind parse_policy_kind(const std::string& name) {
-  if (name == "round-robin") return PolicyKind::kRoundRobin;
-  if (name == "jsq") return PolicyKind::kJoinShortestQueue;
-  if (name == "energy") return PolicyKind::kEnergyAware;
-  throw std::invalid_argument("unknown routing policy: " + name);
-}
-
 namespace {
 
 /// Least-backlog board, healthy boards first; -1 only on an empty cluster.

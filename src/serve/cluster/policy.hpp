@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "serve/request.hpp"
@@ -36,8 +35,6 @@ enum class PolicyKind : std::uint8_t {
 };
 
 const char* to_string(PolicyKind kind);
-/// Parses "round-robin" | "jsq" | "energy"; throws on anything else.
-PolicyKind parse_policy_kind(const std::string& name);
 
 /// Router-visible snapshot of one board at pick time.
 struct BoardState {

@@ -4,6 +4,19 @@
 
 namespace seneca::serve::net {
 
+ServerConfig boardd_server_config(std::size_t queue_capacity) {
+  ServerConfig cfg;
+  cfg.queue.capacity = queue_capacity;
+  cfg.batcher.max_batch_size = 4;
+  cfg.batcher.max_wait_ms = 15.0;
+  cfg.batcher.interactive_max_wait_ms = 0.0;
+  cfg.batcher.interactive_max_batch_size = 1;
+  cfg.degrade.queue_depth_high = 6;
+  cfg.degrade.queue_depth_low = 2;
+  cfg.degrade.min_dwell_ms = 25.0;
+  return cfg;
+}
+
 void BoardDaemon::Conn::write(FrameType type,
                               const std::vector<std::uint8_t>& payload) {
   if (!alive.load(std::memory_order_acquire)) return;

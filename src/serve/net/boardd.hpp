@@ -28,6 +28,11 @@
 
 namespace seneca::serve::net {
 
+/// The queue, batcher and degradation policy every seneca_boardd worker
+/// serves with. In-process baselines call it too, so they cannot drift
+/// from the worker.
+ServerConfig boardd_server_config(std::size_t queue_capacity);
+
 struct BoardDaemonConfig {
   cluster::BoardConfig board;
   /// Endpoint to bind. tcp port 0 binds ephemeral; endpoint() reports the

@@ -90,14 +90,7 @@ int main(int argc, char** argv) try {
   }
   std::fprintf(stderr, " done\n");
 
-  cfg.board.server.queue.capacity = capacity;
-  cfg.board.server.batcher.max_batch_size = 4;
-  cfg.board.server.batcher.max_wait_ms = 15.0;
-  cfg.board.server.batcher.interactive_max_wait_ms = 0.0;
-  cfg.board.server.batcher.interactive_max_batch_size = 1;
-  cfg.board.server.degrade.queue_depth_high = 6;
-  cfg.board.server.degrade.queue_depth_low = 2;
-  cfg.board.server.degrade.min_dwell_ms = 25.0;
+  cfg.board.server = serve::net::boardd_server_config(capacity);
 
   serve::net::BoardDaemon daemon(std::move(cfg));
   g_daemon = &daemon;

@@ -138,7 +138,6 @@ class InferenceServer {
   int degrade_level() const {
     return level_.load(std::memory_order_relaxed);
   }
-  std::size_t ladder_size() const { return ladder_.size(); }
   const std::string& model_name(int level) const {
     return ladder_[static_cast<std::size_t>(level)].name;
   }

@@ -48,9 +48,6 @@ class DrrLane {
   /// `out`. Returns how many were swept.
   std::size_t sweep_expired(Clock::time_point now, std::vector<Request>& out);
 
-  /// Number of distinct tenants with queued requests.
-  std::size_t active_tenants() const { return active_.size(); }
-
  private:
   struct TenantQueue {
     std::deque<Request> fifo;

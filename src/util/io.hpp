@@ -47,7 +47,6 @@ class BinaryReader {
   std::string str();
 
   std::size_t remaining() const { return buf_.size() - pos_; }
-  bool eof() const { return pos_ >= buf_.size(); }
 
  private:
   void require(std::size_t n) const;

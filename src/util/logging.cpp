@@ -1,6 +1,5 @@
 #include "util/logging.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <utility>
 
@@ -9,7 +8,7 @@
 namespace seneca::util {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kInfo};
+constexpr LogLevel kThreshold = LogLevel::kInfo;
 
 // Serializes both the writes themselves (no interleaved lines) and the
 // sink swap: set_log_sink racing log_message would otherwise read a
@@ -28,16 +27,13 @@ const char* level_tag(LogLevel level) {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level.store(level); }
-LogLevel log_level() { return g_level.load(); }
-
 void set_log_sink(LogSink sink) {
   LockGuard lock(g_log_mutex);
   g_sink = std::move(sink);
 }
 
 void log_message(LogLevel level, const std::string& msg) {
-  if (static_cast<int>(level) < static_cast<int>(g_level.load())) return;
+  if (static_cast<int>(level) < static_cast<int>(kThreshold)) return;
   LockGuard lock(g_log_mutex);
   if (g_sink) {
     g_sink(level, msg);

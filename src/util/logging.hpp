@@ -1,6 +1,6 @@
 #pragma once
 // Minimal levelled logger. All SENECA libraries log through this so that
-// examples and benches can silence or redirect output uniformly.
+// examples, benches and tests can redirect output uniformly.
 
 #include <functional>
 #include <sstream>
@@ -10,11 +10,7 @@ namespace seneca::util {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-/// Global threshold; messages below it are dropped.
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
-/// Emit a message (appends '\n'). Thread-safe.
+/// Emit a message (appends '\n') unless it is below kInfo. Thread-safe.
 void log_message(LogLevel level, const std::string& msg);
 
 /// Redirects log output; nullptr restores the default stdout/stderr
@@ -41,7 +37,6 @@ class LogLine {
 };
 }  // namespace detail
 
-inline detail::LogLine log_debug() { return detail::LogLine(LogLevel::kDebug); }
 inline detail::LogLine log_info() { return detail::LogLine(LogLevel::kInfo); }
 inline detail::LogLine log_warn() { return detail::LogLine(LogLevel::kWarn); }
 inline detail::LogLine log_error() { return detail::LogLine(LogLevel::kError); }

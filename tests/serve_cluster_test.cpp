@@ -142,14 +142,12 @@ TEST(RoutingPolicy, EnergyAwareFallsBackToShortestQueueWhenNoneFeasible) {
   EXPECT_EQ(policy->pick(boards, impossible), 1);  // least backlog
 }
 
-TEST(RoutingPolicy, KindRoundTripsThroughNames) {
+TEST(RoutingPolicy, MakePolicyBuildsTheRequestedKind) {
   for (PolicyKind kind :
        {PolicyKind::kRoundRobin, PolicyKind::kJoinShortestQueue,
         PolicyKind::kEnergyAware}) {
-    EXPECT_EQ(parse_policy_kind(to_string(kind)), kind);
     EXPECT_EQ(make_policy(kind)->kind(), kind);
   }
-  EXPECT_THROW(parse_policy_kind("greedy"), std::invalid_argument);
 }
 
 // --------------------------------------------------------------- topology

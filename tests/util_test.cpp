@@ -258,7 +258,7 @@ TEST(BinaryIo, RoundTripScalars) {
   EXPECT_EQ(r.i32(), -12345);
   EXPECT_FLOAT_EQ(r.f32(), 3.25f);
   EXPECT_EQ(r.str(), "hello seneca");
-  EXPECT_TRUE(r.eof());
+  EXPECT_EQ(r.remaining(), 0u);
 }
 
 TEST(BinaryIo, TruncatedStreamThrows) {
