@@ -16,11 +16,18 @@
 //              goodput within 20% of solo's;
 //   wire       the boardd fleet's simulated FPS >= 0.8x the in-process
 //              fleet's on the same trace;
-//   chaos      with a worker SIGKILLed mid-trace, no kMigrated/kExpired
-//              reaches a client, nothing expires cluster-wide, the
-//              survivors serve, and the supervisor restarts the worker
-//              within 20 s.
+//   chaos      a worker SIGKILLed mid-trace with queued work, which the
+//              router migrates; no kMigrated/kExpired reaches a client,
+//              nothing expires cluster-wide, the survivors serve, and the
+//              supervisor restarts the worker within 20 s.
 // A gate whose reference act was not selected fails.
+//
+// Model load is offered frames/s over the act's model capacity: each
+// board's top rung, `workers` threads each busy one host frame time per
+// frame (timed once per rung at startup), the host's hardware threads
+// shared evenly when the fleet has more workers than that. Serving
+// overhead (queues, batching, routing, the wire) comes on top, so a fleet
+// saturates below model load 1.
 //
 // Simulated FPS, FPS/W are DES-priced board quantities (the ZCU104s under
 // simulation), not host clock; latencies are host wall clock.
@@ -43,6 +50,7 @@
 
 #include "common.hpp"
 #include "core/workflow.hpp"
+#include "dpu/core_sim.hpp"
 #include "eval/table.hpp"
 #include "loadgen/loadgen.hpp"
 #include "serve/cluster/router.hpp"
@@ -50,6 +58,7 @@
 #include "serve/net/supervisor.hpp"
 #include "serve/server.hpp"
 #include "serve/tenant/tenant.hpp"
+#include "tensor/arena.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -68,7 +77,19 @@ constexpr double kIsolationSlackMs = 10.0;
 constexpr double kMinWireRatio = 0.8;
 constexpr double kRestartWaitS = 20.0;
 
+// Offered rates, from the host cost of a 32x32 frame (8M ~0.7 ms, 4M
+// 0.4-0.6 ms on one 2.1 GHz AVX2 core; model load re-measures it) and a
+// rate sweep of inproc/wire on 4 such cores, where rejections began near
+// 2000/s. The fleet runs at about half that, so the wire gate compares
+// fleets that keep up; the chaos burst (~400 requests in 40 ms) runs far
+// above it and fills every queue, so the SIGKILLed worker strands its
+// queue; a scaling board gets ~0.7 of what one 8M worker computes.
+constexpr double kFleetRate = 1000.0;
+constexpr double kChaosBurstRate = 10000.0;
+constexpr double kScalingRatePerBoard = 1000.0;
+
 constexpr std::int64_t kInput = 32;
+constexpr double kProbeS = 0.05;  // host time spent timing each rung
 constexpr std::size_t kBoarddQueue = 32;
 
 enum class Topology { kServer, kReplicated, kPartitioned, kWire };
@@ -111,7 +132,10 @@ struct Outcome {
   double fps_per_w = 0.0;
   std::vector<std::uint64_t> board_served;
   std::vector<std::uint64_t> board_served_mid;  // at the timed event
-  bool restarted = false;                       // Event::kKillWorker
+  bool killed = false;     // Event::kKillWorker found a live worker
+  bool restarted = false;  // ... and the supervisor replaced it
+  double capacity_fps = 0.0;  // model capacity, see the header
+  double load = 0.0;          // model load: mean offered rate / capacity
   double wall_s = 0.0;
 
   const TenantReport* report(const std::string& name) const {
@@ -223,9 +247,9 @@ std::vector<Act> acts() {
   const std::vector<std::string> small = {"4M", "2M"};
   std::vector<Act> out;
 
-  // Tenant isolation on one server: clinic Poisson at ~40% of capacity with
-  // ~350 samples, so p99 is a percentile rather than the max; research
-  // storms at 10x its contract.
+  // Tenant isolation on one server: clinic Poisson with ~350 samples, so
+  // p99 is a percentile rather than the max; research storms at 10x its
+  // contract.
   const auto clinic = poisson("clinic", kClinic, 60.0, 6.0, 1.0, 250.0);
   const auto research = flash_crowd("research", kResearch, 4.0, 6.0, 0.0, 0.0);
   auto flat_clinic = clinic;
@@ -248,8 +272,9 @@ std::vector<Act> acts() {
 
   // The distributed tier: the same 4-board fleet in process and as boardd
   // processes, deadline-free so nothing can legitimately expire.
+  const double fleet_s = 0.5;
   const auto fleet =
-      poisson("fleet", serve::kDefaultTenant, 600.0, 0.5, 0.75, 0.0);
+      poisson("fleet", serve::kDefaultTenant, kFleetRate, fleet_s, 0.75, 0.0);
   a = {.name = "inproc", .topology = Topology::kReplicated, .boards = 4,
        .ladder = small, .preset = Preset::kBoardd, .migrate = true,
        .workloads = {fleet}};
@@ -259,27 +284,39 @@ std::vector<Act> acts() {
   a.gate = Gate::kWireRatio;
   a.ref = "inproc";
   out.push_back(a);
+  // The SIGKILL lands in the middle of a 40 ms batch burst.
+  TenantWorkload burst =
+      poisson("burst", serve::kDefaultTenant, kChaosBurstRate / 1000.0,
+              fleet_s, 0.0, 0.0);
+  burst.arrivals.kind = ArrivalKind::kFlashCrowd;
+  burst.arrivals.burst_multiplier = 1000.0;
+  burst.arrivals.burst_start_s = fleet_s / 2.0 - 0.02;
+  burst.arrivals.burst_len_s = 0.04;
   a.name = "chaos";
+  a.workloads = {fleet, burst};
   a.event = Event::kKillWorker;
   a.gate = Gate::kChaos;
   a.ref = "";
   out.push_back(a);
 
   // Board scaling with degradation pinned off, so every frame costs the
-  // same rung everywhere and simulated FPS tracks the spread.
-  const auto mixed = poisson("mixed", serve::kDefaultTenant, 400.0, 0.5, 0.75,
-                             200.0);
+  // same rung everywhere and simulated FPS tracks the spread. Each fleet
+  // gets the same rate per board (weak scaling).
   const std::pair<const char*, PolicyKind> policies[] = {
       {"rr", PolicyKind::kRoundRobin},
       {"jsq", PolicyKind::kJoinShortestQueue},
       {"energy", PolicyKind::kEnergyAware}};
+  const auto mixed = [](int boards) {
+    return poisson("mixed", serve::kDefaultTenant,
+                   kScalingRatePerBoard * boards, 0.5, 0.75, 200.0);
+  };
   for (const int boards : {1, 2, 4}) {
     for (const auto& [tag, policy] : policies) {
       out.push_back({.name = "rep" + std::to_string(boards) + "_" + tag,
                      .topology = Topology::kReplicated, .boards = boards,
                      .ladder = {"8M", "2M"}, .workers = 1,
                      .preset = Preset::kPinned, .policy = policy,
-                     .workloads = {mixed}});
+                     .workloads = {mixed(boards)}});
     }
   }
   // Partition: board0 hosts 8M, board1 2M. The energy-aware policy keeps
@@ -289,7 +326,7 @@ std::vector<Act> acts() {
                    .topology = Topology::kPartitioned, .boards = 2,
                    .ladder = {"8M", "2M"}, .workers = 1,
                    .preset = Preset::kPinned, .policy = policy,
-                   .workloads = {mixed}});
+                   .workloads = {mixed(2)}});
   }
 
   // Degrade, then shed: a flash crowd against the full 16M -> 2M ladder.
@@ -325,20 +362,76 @@ std::vector<Act> acts() {
 
 // --------------------------------------------------------------- running
 
-std::vector<serve::ModelSpec> build_ladder(const Act& act) {
+const dpu::XModel& xmodel(const std::string& rung) {
   static std::map<std::string, dpu::XModel> cache;
+  auto it = cache.find(rung);
+  if (it == cache.end()) {
+    it = cache
+             .emplace(rung, core::build_timing_xmodel(
+                                rung, dpu::DpuArch::b4096(), kInput))
+             .first;
+  }
+  return it->second;
+}
+
+std::vector<serve::ModelSpec> build_ladder(const Act& act) {
   std::vector<serve::ModelSpec> ladder;
   for (const auto& name : act.ladder) {
-    auto it = cache.find(name);
-    if (it == cache.end()) {
-      it = cache
-               .emplace(name, core::build_timing_xmodel(
-                                  name, dpu::DpuArch::b4096(), kInput))
-               .first;
-    }
-    ladder.push_back({name, it->second, act.workers});
+    ladder.push_back({name, xmodel(name), act.workers});
   }
   return ladder;
+}
+
+std::vector<serve::cluster::BoardConfig> board_configs(const Act& act) {
+  const auto ladder = build_ladder(act);
+  const auto server = server_config(act.preset);
+  return act.topology == Topology::kPartitioned
+             ? serve::cluster::partition_ladder(ladder, act.boards, server)
+             : serve::cluster::replicate_ladder(ladder, act.boards, server);
+}
+
+/// Median host seconds one VART worker spends on a frame of `rung`, warm.
+double host_frame_s(const std::string& rung) {
+  static std::map<std::string, double> cache;
+  if (const auto it = cache.find(rung); it != cache.end()) return it->second;
+  const dpu::DpuCoreSim core(&xmodel(rung));
+  tensor::TensorArena arena;
+  const tensor::TensorI8 input(tensor::Shape{kInput, kInput, 1}, 3);
+  for (int i = 0; i < 3; ++i) core.run(input, 1, &arena);  // sizes the arena
+  std::vector<double> times;
+  double total = 0.0;
+  while (times.size() < 15 || total < kProbeS) {
+    const auto t0 = std::chrono::steady_clock::now();
+    core.run(input, 1, &arena);
+    times.push_back(std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count());
+    total += times.back();
+  }
+  std::nth_element(times.begin(), times.begin() + times.size() / 2,
+                   times.end());
+  return cache[rung] = times[times.size() / 2];
+}
+
+/// The act's model capacity in frames/s (see the header).
+double capacity_fps(const Act& act) {
+  double fps = 0.0;
+  int threads = 0;
+  for (const auto& board : board_configs(act)) {
+    const serve::ModelSpec& top = board.ladder.front();
+    fps += top.workers / host_frame_s(top.name);
+    threads += top.workers;
+  }
+  const double hw = std::max(1U, std::thread::hardware_concurrency());
+  return fps * std::min(1.0, hw / threads);
+}
+
+double offered_per_s(const Act& act) {
+  double rate = 0.0;
+  for (const auto& w : act.workloads) {
+    rate += w.arrivals.expected_arrivals() / w.arrivals.duration_s;
+  }
+  return rate;
 }
 
 /// Replays the act's workloads open-loop; `at_midpoint` (if set) runs once
@@ -400,13 +493,7 @@ Outcome run_server(const Act& act, std::uint64_t seed) {
 }
 
 Outcome run_cluster(const Act& act, std::uint64_t seed) {
-  const auto ladder = build_ladder(act);
-  const auto server = server_config(act.preset);
-  ClusterRouter router(
-      act.topology == Topology::kPartitioned
-          ? serve::cluster::partition_ladder(ladder, act.boards, server)
-          : serve::cluster::replicate_ladder(ladder, act.boards, server),
-      cluster_config(act));
+  ClusterRouter router(board_configs(act), cluster_config(act));
   Outcome out;
   std::function<void()> event;
   if (act.event == Event::kFaultBoard0) {
@@ -451,11 +538,11 @@ Outcome run_wire(const Act& act, std::uint64_t seed) {
   if (act.event == Event::kKillWorker) {
     event = [&] {
       victim = sup.worker_pid(slots.front());
-      if (victim > 0) ::kill(victim, SIGKILL);
+      out.killed = victim > 0 && ::kill(victim, SIGKILL) == 0;
     };
   }
   out.reports = drive(act, submit_to(router), seed, event);
-  if (act.event == Event::kKillWorker) {
+  if (out.killed) {
     const auto deadline =
         std::chrono::steady_clock::now() +
         std::chrono::duration<double>(kRestartWaitS);
@@ -480,6 +567,7 @@ Outcome run_wire(const Act& act, std::uint64_t seed) {
 }
 
 Outcome run_act(const Act& act, std::uint64_t seed) {
+  const double capacity = capacity_fps(act);
   const auto t0 = std::chrono::steady_clock::now();
   Outcome out;
   switch (act.topology) {
@@ -488,6 +576,8 @@ Outcome run_act(const Act& act, std::uint64_t seed) {
     case Topology::kPartitioned: out = run_cluster(act, seed); break;
     case Topology::kWire: out = run_wire(act, seed); break;
   }
+  out.capacity_fps = capacity;
+  out.load = offered_per_s(act) / capacity;
   out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              t0)
                    .count();
@@ -570,18 +660,22 @@ GateResult check_gate(const Act& act, const std::map<std::string, Outcome>& ran)
         migrated += r.migrated;
         expired += r.expired;
       }
-      g.pass = migrated == 0 && expired == 0 && ok > 0 && self.expired == 0 &&
-               self.restarted;
+      // The kill must have happened and stranded work on the victim, or
+      // the zero-loss check has nothing to check.
+      g.pass = self.killed && self.migrations > 0 && migrated == 0 &&
+               expired == 0 && ok > 0 && self.expired == 0 && self.restarted;
       g.detail = format(
           "%llu ok, %llu migrated + %llu expired reached clients, %llu "
-          "expired cluster-wide, %llu migrations, restart %s",
+          "expired cluster-wide, %llu migrations, kill %s, restart %s",
           static_cast<unsigned long long>(ok),
           static_cast<unsigned long long>(migrated),
           static_cast<unsigned long long>(expired),
           static_cast<unsigned long long>(self.expired),
           static_cast<unsigned long long>(self.migrations),
-          self.restarted ? "ok" : "TIMED OUT");
-      g.figures = {{"restart_wait_s", kRestartWaitS}};
+          self.killed ? "ok" : "MISSED",
+          !self.killed ? "-" : self.restarted ? "ok" : "TIMED OUT");
+      g.figures = {{"migrations", static_cast<double>(self.migrations)},
+                   {"restart_wait_s", kRestartWaitS}};
       break;
     }
     case Gate::kNone: break;
@@ -601,7 +695,10 @@ const char* to_string(Topology t) {
 
 std::string board_list(const std::vector<std::uint64_t>& v) {
   std::string s;
-  for (const auto n : v) s += (s.empty() ? "" : "/") + std::to_string(n);
+  for (const auto n : v) {
+    if (!s.empty()) s += '/';
+    s += std::to_string(n);
+  }
   return s;
 }
 
@@ -645,9 +742,10 @@ int main(int argc, char** argv) try {
     std::printf(" %.2f s\n", ran[act->name].wall_s);
   }
 
-  eval::Table acts_table({"Act", "Topology", "Boards", "Served", "Degraded",
-                          "Expired", "Migrations", "sim FPS", "FPS/W",
-                          "Board served", "Wall s"});
+  eval::Table acts_table({"Act", "Topology", "Boards", "Model cap/s",
+                          "Model load", "Served", "Degraded", "Expired",
+                          "Migrations", "sim FPS", "FPS/W", "Board served",
+                          "Wall s"});
   eval::Table tenants_table({"Act", "Tenant", "Offered", "OK", "Rejected",
                              "Migrated", "Expired", "p50 [ms]", "p99 [ms]",
                              "Goodput/s", "p99 vs ref", "Goodput vs ref"});
@@ -661,6 +759,7 @@ int main(int argc, char** argv) try {
     }
     acts_table.add_row(
         {act->name, to_string(act->topology), std::to_string(act->boards),
+         eval::Table::num(o.capacity_fps, 0), eval::Table::num(o.load, 2),
          std::to_string(o.served), std::to_string(o.degraded),
          std::to_string(o.expired), std::to_string(o.migrations),
          cluster ? eval::Table::num(o.sim_fps, 1) : "-",
@@ -671,6 +770,8 @@ int main(int argc, char** argv) try {
         .field("act", act->name)
         .field("topology", to_string(act->topology))
         .field("boards", act->boards)
+        .field("model_capacity_fps", o.capacity_fps)
+        .field("model_load", o.load)
         .field("served", o.served)
         .field("degraded", o.degraded)
         .field("expired", o.expired)

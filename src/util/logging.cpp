@@ -8,8 +8,6 @@
 namespace seneca::util {
 
 namespace {
-constexpr LogLevel kThreshold = LogLevel::kInfo;
-
 // Serializes both the writes themselves (no interleaved lines) and the
 // sink swap: set_log_sink racing log_message would otherwise read a
 // std::function mid-assignment.
@@ -18,7 +16,6 @@ LogSink g_sink GUARDED_BY(g_log_mutex);
 
 const char* level_tag(LogLevel level) {
   switch (level) {
-    case LogLevel::kDebug: return "DEBUG";
     case LogLevel::kInfo: return "INFO ";
     case LogLevel::kWarn: return "WARN ";
     case LogLevel::kError: return "ERROR";
@@ -33,7 +30,6 @@ void set_log_sink(LogSink sink) {
 }
 
 void log_message(LogLevel level, const std::string& msg) {
-  if (static_cast<int>(level) < static_cast<int>(kThreshold)) return;
   LockGuard lock(g_log_mutex);
   if (g_sink) {
     g_sink(level, msg);

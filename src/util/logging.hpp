@@ -8,9 +8,9 @@
 
 namespace seneca::util {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
+enum class LogLevel { kInfo, kWarn, kError };
 
-/// Emit a message (appends '\n') unless it is below kInfo. Thread-safe.
+/// Emit a message (appends '\n'). Thread-safe.
 void log_message(LogLevel level, const std::string& msg);
 
 /// Redirects log output; nullptr restores the default stdout/stderr
